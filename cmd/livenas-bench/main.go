@@ -17,15 +17,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
+	"livenas/internal/benchrec"
 	"livenas/internal/edge"
 	"livenas/internal/exp"
 	"livenas/internal/fleet"
@@ -154,20 +155,20 @@ func runOne(ctx context.Context, e exp.Experiment, o exp.Options, workers int, c
 	}
 }
 
-// sweepBenchRecord is the JSON layout of BENCH_sweep.json: the serial and
-// parallel wall clock of the same fixed sweep. cmd/bench-compare gates on
-// the speedup ratio, which cancels host speed.
-type sweepBenchRecord struct {
-	Schema   int     `json:"schema"`
-	Sessions int     `json:"sessions"`
-	Workers  int     `json:"workers"`
-	SerialS  float64 `json:"serial_s"`
-	ParallS  float64 `json:"parallel_s"`
-	Speedup  float64 `json:"speedup"`
+// planEntries returns the entries every serial-vs-parallel plan record
+// carries: the worker count, both wall clocks, and the speedup, which
+// cmd/bench-compare gates against the host's core count.
+func planEntries(name string, workers int, serial, parallel time.Duration) []benchrec.Entry {
+	return []benchrec.Entry{
+		{Name: name, Metric: "workers", Value: float64(workers), Unit: "count", Better: "higher", Gate: benchrec.None},
+		{Name: name, Metric: "serial_s", Value: serial.Seconds(), Unit: "s", Better: "lower", Gate: benchrec.None},
+		{Name: name, Metric: "parallel_s", Value: parallel.Seconds(), Unit: "s", Better: "lower", Gate: benchrec.None},
+		{Name: name, Metric: "speedup", Value: serial.Seconds() / parallel.Seconds(), Unit: "x", Better: "higher", Gate: benchrec.Cores},
+	}
 }
 
 // runSweepBench times exp.SweepBenchGrid with one worker and with the full
-// worker set, then writes the record to path.
+// worker set, then writes the BENCH_sweep.json record to path.
 //
 //livenas:allow determinism-taint wall-clock benchmark record; never feeds results
 func runSweepBench(ctx context.Context, path string, o exp.Options, workers int) error {
@@ -190,48 +191,26 @@ func runSweepBench(ctx context.Context, path string, o exp.Options, workers int)
 	if err != nil {
 		return err
 	}
-	rec := sweepBenchRecord{
-		Schema:   1,
-		Sessions: stats.Executed,
-		Workers:  stats.Workers,
-		SerialS:  serial.Seconds(),
-		ParallS:  parallel.Seconds(),
-		Speedup:  serial.Seconds() / parallel.Seconds(),
+	rec := &benchrec.Record{
+		Regen: []string{"go", "run", "./cmd/livenas-bench", "-sweepbench", benchrec.OutArg},
+		Entries: append([]benchrec.Entry{
+			{Name: "sweep", Metric: "sessions", Value: float64(stats.Executed), Unit: "count", Better: "higher", Gate: benchrec.Exact},
+		}, planEntries("sweep", stats.Workers, serial, parallel)...),
 	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := benchrec.Write(path, rec); err != nil {
 		return err
 	}
 	fmt.Printf("sweep bench: %d sessions, serial %.2fs, parallel(%d) %.2fs, speedup x%.2f -> %s\n",
-		rec.Sessions, rec.SerialS, rec.Workers, rec.ParallS, rec.Speedup, path)
+		stats.Executed, serial.Seconds(), stats.Workers, parallel.Seconds(), serial.Seconds()/parallel.Seconds(), path)
 	return nil
 }
 
-// fleetBenchRecord is the JSON layout of BENCH_fleet.json: the serial and
-// parallel wall clock of executing the same fixed fleet admission plan,
-// plus the plan's virtual-time p99 admission latency. AdmitP99MS is pure
-// simulated time — identical on every host — so cmd/bench-compare checks
-// it for exact equality (a cross-host determinism pin), while the speedup
-// ratio is gated with noise tolerance like the sweep record.
-type fleetBenchRecord struct {
-	Schema      int     `json:"schema"`
-	Streams     int     `json:"streams"`
-	GPUs        int     `json:"gpus"`
-	Sessions    int     `json:"sessions"`
-	Workers     int     `json:"workers"`
-	SerialS     float64 `json:"serial_s"`
-	ParallS     float64 `json:"parallel_s"`
-	Speedup     float64 `json:"speedup"`
-	SerialSPS   float64 `json:"sessions_per_sec_serial"`
-	ParallelSPS float64 `json:"sessions_per_sec_parallel"`
-	AdmitP99MS  float64 `json:"admit_p99_ms"`
-}
-
 // runFleetBench executes exp.FleetBenchPlan with one worker and with the
-// full worker set, then writes the record to path.
+// full worker set, then writes the BENCH_fleet.json record to path. The
+// plan's shape, its session count and its virtual-time p99 admission
+// latency are pure simulated quantities — identical on every host — so
+// they are exact pins; the regen argv carries the shape so a re-measure
+// times the same plan.
 //
 //livenas:allow determinism-taint wall-clock benchmark record; never feeds results
 func runFleetBench(ctx context.Context, path string, o exp.Options, workers int) error {
@@ -258,55 +237,35 @@ func runFleetBench(ctx context.Context, path string, o exp.Options, workers int)
 		return err
 	}
 	st := plan.Stats()
-	sessions := st.Admitted + st.Degraded
-	rec := fleetBenchRecord{
-		Schema:      1,
-		Streams:     st.Streams,
-		GPUs:        plan.M.Pool().Total(),
-		Sessions:    sessions,
-		Workers:     nworkers,
-		SerialS:     serial.Seconds(),
-		ParallS:     parallel.Seconds(),
-		Speedup:     serial.Seconds() / parallel.Seconds(),
-		SerialSPS:   float64(sessions) / serial.Seconds(),
-		ParallelSPS: float64(sessions) / parallel.Seconds(),
-		AdmitP99MS:  float64(st.AdmitP99) / float64(time.Millisecond),
+	sessions := float64(st.Admitted + st.Degraded)
+	gpus := plan.M.Pool().Total()
+	admitP99 := float64(st.AdmitP99) / float64(time.Millisecond)
+	rec := &benchrec.Record{
+		Regen: []string{"go", "run", "./cmd/livenas-bench", "-fleet", strconv.Itoa(st.Streams),
+			"-gpus", strconv.Itoa(gpus), "-fleetbench", benchrec.OutArg},
+		Entries: append([]benchrec.Entry{
+			{Name: "fleet", Metric: "streams", Value: float64(st.Streams), Unit: "count", Better: "higher", Gate: benchrec.Exact},
+			{Name: "fleet", Metric: "gpus", Value: float64(gpus), Unit: "count", Better: "higher", Gate: benchrec.Exact},
+			{Name: "fleet", Metric: "sessions", Value: sessions, Unit: "count", Better: "higher", Gate: benchrec.Exact},
+			{Name: "fleet", Metric: "admit_p99_ms", Value: admitP99, Unit: "ms", Better: "lower", Gate: benchrec.Exact},
+			{Name: "fleet", Metric: "sessions_per_sec_serial", Value: sessions / serial.Seconds(), Unit: "sessions/s", Better: "higher", Gate: benchrec.None},
+			{Name: "fleet", Metric: "sessions_per_sec_parallel", Value: sessions / parallel.Seconds(), Unit: "sessions/s", Better: "higher", Gate: benchrec.None},
+		}, planEntries("fleet", nworkers, serial, parallel)...),
 	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
+	if err := benchrec.Write(path, rec); err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("fleet bench: %d streams on %d GPUs, %d sessions, serial %.2fs, parallel(%d) %.2fs, speedup x%.2f, admit p99 %.0fms -> %s\n",
-		rec.Streams, rec.GPUs, rec.Sessions, rec.SerialS, rec.Workers, rec.ParallS, rec.Speedup, rec.AdmitP99MS, path)
+	fmt.Printf("fleet bench: %d streams on %d GPUs, %.0f sessions, serial %.2fs, parallel(%d) %.2fs, speedup x%.2f, admit p99 %.0fms -> %s\n",
+		st.Streams, gpus, sessions, serial.Seconds(), nworkers, parallel.Seconds(), serial.Seconds()/parallel.Seconds(), admitP99, path)
 	return nil
 }
 
-// edgeBenchRecord is the JSON layout of BENCH_edge.json: the serial and
-// parallel wall clock of running the same fixed edge fan-out plan, plus
-// the plan's worst virtual-time delivery p99. SegP99MS is pure simulated
-// time — identical on every host — so cmd/bench-compare checks it for
-// exact equality (a cross-host determinism pin), while the speedup ratio
-// is gated with noise tolerance like the sweep and fleet records.
-type edgeBenchRecord struct {
-	Schema      int     `json:"schema"`
-	Sims        int     `json:"sims"`
-	Viewers     int     `json:"viewers"`
-	Workers     int     `json:"workers"`
-	SerialS     float64 `json:"serial_s"`
-	ParallS     float64 `json:"parallel_s"`
-	Speedup     float64 `json:"speedup"`
-	SerialVPS   float64 `json:"viewers_per_sec_serial"`
-	ParallelVPS float64 `json:"viewers_per_sec_parallel"`
-	Delivered   int     `json:"delivered"`
-	SegP99MS    float64 `json:"seg_p99_ms"`
-}
-
 // runEdgeBench executes exp.EdgeBenchPlan serially and across a worker
-// pool, then writes the record to path. Each sim is single-threaded on
-// its own virtual clock, so the pool parallelises across sims.
+// pool, then writes the BENCH_edge.json record to path. Each sim is
+// single-threaded on its own virtual clock, so the pool parallelises
+// across sims. The plan's shape, delivered-segment count and worst
+// virtual-time delivery p99 are pure simulated quantities — identical on
+// every host — so they are exact pins.
 //
 //livenas:allow determinism-taint wall-clock benchmark record; never feeds results
 func runEdgeBench(path string, o exp.Options, workers int) error {
@@ -358,27 +317,22 @@ func runEdgeBench(path string, o exp.Options, workers int) error {
 			p99 = r.DeliveryP99
 		}
 	}
-	rec := edgeBenchRecord{
-		Schema:      1,
-		Sims:        len(plan),
-		Viewers:     viewers,
-		Workers:     workers,
-		SerialS:     serial.Seconds(),
-		ParallS:     parallel.Seconds(),
-		Speedup:     serial.Seconds() / parallel.Seconds(),
-		SerialVPS:   float64(viewers) / serial.Seconds(),
-		ParallelVPS: float64(viewers) / parallel.Seconds(),
-		Delivered:   delivered,
-		SegP99MS:    float64(p99) / float64(time.Millisecond),
+	p99MS := float64(p99) / float64(time.Millisecond)
+	rec := &benchrec.Record{
+		Regen: []string{"go", "run", "./cmd/livenas-bench", "-edgebench", benchrec.OutArg},
+		Entries: append([]benchrec.Entry{
+			{Name: "edge", Metric: "sims", Value: float64(len(plan)), Unit: "count", Better: "higher", Gate: benchrec.Exact},
+			{Name: "edge", Metric: "viewers", Value: float64(viewers), Unit: "count", Better: "higher", Gate: benchrec.Exact},
+			{Name: "edge", Metric: "delivered", Value: float64(delivered), Unit: "count", Better: "higher", Gate: benchrec.Exact},
+			{Name: "edge", Metric: "seg_p99_ms", Value: p99MS, Unit: "ms", Better: "lower", Gate: benchrec.Exact},
+			{Name: "edge", Metric: "viewers_per_sec_serial", Value: float64(viewers) / serial.Seconds(), Unit: "viewers/s", Better: "higher", Gate: benchrec.None},
+			{Name: "edge", Metric: "viewers_per_sec_parallel", Value: float64(viewers) / parallel.Seconds(), Unit: "viewers/s", Better: "higher", Gate: benchrec.None},
+		}, planEntries("edge", workers, serial, parallel)...),
 	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := benchrec.Write(path, rec); err != nil {
 		return err
 	}
 	fmt.Printf("edge bench: %d sims, %d viewers, serial %.2fs, parallel(%d) %.2fs, speedup x%.2f, seg p99 %.1fms -> %s\n",
-		rec.Sims, rec.Viewers, rec.SerialS, rec.Workers, rec.ParallS, rec.Speedup, rec.SegP99MS, path)
+		len(plan), viewers, serial.Seconds(), workers, parallel.Seconds(), serial.Seconds()/parallel.Seconds(), p99MS, path)
 	return nil
 }

@@ -1,13 +1,13 @@
 // Package wire is a fixture stub mirroring livenas/internal/wire: the
-// unchecked-write check matches package-level Write functions of packages
-// named "wire".
+// unchecked-write check matches package-level WriteFrame functions of
+// packages named "wire".
 package wire
 
 import "io"
 
 type Message struct{ Type int }
 
-func Write(w io.Writer, m *Message) error {
+func WriteFrame(w io.Writer, m *Message) error {
 	_, err := w.Write([]byte{byte(m.Type)})
 	return err
 }

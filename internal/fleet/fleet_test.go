@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"livenas/internal/core"
+	"livenas/internal/nn"
 	"livenas/internal/telemetry"
 	"livenas/internal/trace"
 	"livenas/internal/vidgen"
@@ -170,6 +171,10 @@ func TestExplicitTeardownFreesQueuedStream(t *testing.T) {
 // dedicated kernel pool and checks the stream's nn.Pool workers are joined
 // — the goroutine-leak contract teardown must keep.
 func TestTeardownMidEpochReleasesPool(t *testing.T) {
+	// The process-wide shared kernel pool starts lazily on first model use
+	// and lives for the process, so start it before the baseline count:
+	// only the stream's dedicated pool must come and go.
+	nn.SharedPool()
 	before := runtime.NumGoroutine()
 	m := NewManager(Options{GPUs: 2})
 	cfg := testCfg(5, 30*time.Second)

@@ -4,13 +4,12 @@
 // training patches, and the distribution edge (cmd/livenas-edge) carrying
 // playlists and enhanced-output segments.
 //
-// Two framings coexist. The legacy framing (Write/Read) is a bare 4-byte
-// length prefix followed by the gob body. The versioned framing
-// (WriteFrame/ReadFrame) inserts one version byte between the length and
-// the body, so the protocol can evolve: a reader that meets a frame with a
-// newer version consumes the whole frame and reports a *VersionError,
-// leaving the stream positioned at the next frame — peers skip what they
-// do not understand instead of desynchronising. Unknown message *types*
+// Every message travels in one versioned framing (WriteFrame/ReadFrame): a
+// 4-byte length prefix, one version byte, then the gob body. The version
+// byte lets the protocol evolve: a reader that meets a frame with a newer
+// version consumes the whole frame and reports a *VersionError, leaving
+// the stream positioned at the next frame — peers skip what they do not
+// understand instead of desynchronising. Unknown message *types*
 // are tolerated one level up: decode succeeds (the Type field is just a
 // number) and dispatch loops ignore types they do not know.
 package wire
@@ -112,40 +111,6 @@ func (m *Message) WireSize() int {
 // memory.
 const maxMessage = 16 << 20
 
-// Write sends one message with a length prefix.
-func Write(w io.Writer, m *Message) error {
-	var buf lengthBuffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(buf.b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.b)
-	return err
-}
-
-// Read receives one message. Malformed input from the peer yields an
-// error, never a panic: the decode step runs under recover because gob
-// is not hardened against adversarial bytes.
-func Read(r io.Reader) (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxMessage {
-		return nil, fmt.Errorf("wire: message of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return decodeBody(body)
-}
-
 // FrameVersion is the current versioned-framing protocol version. Bump it
 // when the framing itself (not the gob body — gob already ignores fields
 // the receiving type lacks) changes incompatibly.
@@ -176,8 +141,8 @@ func WriteFrame(w io.Writer, m *Message) error {
 
 // ReadFrame receives one versioned frame. A frame with an unknown version
 // byte is consumed whole and reported as *VersionError so the caller can
-// tolerate newer peers by skipping to the next frame; everything else
-// follows Read's contract (error, never panic, on malformed bytes).
+// tolerate newer peers by skipping to the next frame. Malformed input from
+// the peer yields an error, never a panic.
 func ReadFrame(r io.Reader) (*Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -3,43 +3,17 @@ package wire
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 )
 
-func TestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	msgs := []*Message{
-		{Type: MsgHello, IngestW: 192, IngestH: 108, NativeW: 384, NativeH: 216, FPS: 10},
-		{Type: MsgVideo, FrameID: 7, Key: true, QP: 31, Data: []byte{1, 2, 3}},
-		{Type: MsgPatch, FrameID: 7, X: 48, Y: 24, Data: make([]byte, 5000)},
-		{Type: MsgStats, GainDB: 1.25, Epochs: 3, Samples: 42},
-		{Type: MsgBye},
-	}
-	for _, m := range msgs {
-		if err := Write(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, want := range msgs {
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Type != want.Type || got.FrameID != want.FrameID || got.GainDB != want.GainDB ||
-			got.IngestW != want.IngestW || !bytes.Equal(got.Data, want.Data) {
-			t.Fatalf("got %+v want %+v", got, want)
-		}
-	}
-	if _, err := Read(&buf); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
-}
-
 func TestReadTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	Write(&buf, &Message{Type: MsgVideo, Data: make([]byte, 100)})
+	if err := WriteFrame(&buf, &Message{Type: MsgVideo, Data: make([]byte, 100)}); err != nil {
+		t.Fatal(err)
+	}
 	data := buf.Bytes()[:buf.Len()-10]
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	if _, err := ReadFrame(bytes.NewReader(data)); err == nil {
 		t.Fatal("truncated message must error")
 	}
 }
@@ -48,21 +22,16 @@ func TestReadOversized(t *testing.T) {
 	// Header claiming a message beyond the limit must be rejected before
 	// allocation.
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := Read(bytes.NewReader(hdr)); err == nil {
+	if _, err := ReadFrame(bytes.NewReader(hdr)); err == nil {
 		t.Fatal("oversized message accepted")
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
+// roundTrip writes msgs as frames, reads them back in order and checks each
+// decodes to what was written, then that the stream ends cleanly.
+func roundTrip(t *testing.T, msgs []*Message) {
+	t.Helper()
 	var buf bytes.Buffer
-	msgs := []*Message{
-		{Type: MsgHello, Channel: "alice", IngestW: 192, IngestH: 108, NativeW: 384, NativeH: 216, FPS: 10},
-		{Type: MsgSubscribe, Channel: "alice", FrameID: 3},
-		{Type: MsgPlaylist, Channel: "alice", Data: []byte("playlist-bytes")},
-		{Type: MsgSegmentReq, Channel: "alice", FrameID: 9, Rung: 2},
-		{Type: MsgSegment, Channel: "alice", FrameID: 9, Rung: 2, SegID: "deadbeef", SegDurUS: 1_000_000, Data: make([]byte, 2048)},
-		{Type: MsgBye},
-	}
 	for _, m := range msgs {
 		if err := WriteFrame(&buf, m); err != nil {
 			t.Fatal(err)
@@ -73,15 +42,39 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Type != want.Type || got.FrameID != want.FrameID || got.Rung != want.Rung ||
-			got.SegID != want.SegID || got.SegDurUS != want.SegDurUS ||
-			got.Channel != want.Channel || !bytes.Equal(got.Data, want.Data) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("got %+v want %+v", got, want)
 		}
 	}
 	if _, err := ReadFrame(&buf); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
+}
+
+// TestRoundTrip covers the ingest session's messages.
+func TestRoundTrip(t *testing.T) {
+	roundTrip(t, []*Message{
+		{Type: MsgHello, IngestW: 192, IngestH: 108, NativeW: 384, NativeH: 216, FPS: 10},
+		{Type: MsgVideo, FrameID: 7, Key: true, QP: 31, Data: []byte{1, 2, 3}},
+		{Type: MsgPatch, FrameID: 7, X: 48, Y: 24, Data: make([]byte, 5000)},
+		{Type: MsgStats, GainDB: 1.25, Epochs: 3, Samples: 42},
+		{Type: MsgBye},
+	})
+}
+
+// TestFrameRoundTrip covers every message type, with channels set.
+func TestFrameRoundTrip(t *testing.T) {
+	roundTrip(t, []*Message{
+		{Type: MsgHello, Channel: "alice", IngestW: 192, IngestH: 108, NativeW: 384, NativeH: 216, FPS: 10},
+		{Type: MsgVideo, FrameID: 7, Key: true, QP: 31, Data: []byte{1, 2, 3}},
+		{Type: MsgPatch, FrameID: 7, X: 48, Y: 24, Data: make([]byte, 5000)},
+		{Type: MsgStats, GainDB: 1.25, Epochs: 3, Samples: 42},
+		{Type: MsgSubscribe, Channel: "alice", FrameID: 3},
+		{Type: MsgPlaylist, Channel: "alice", Data: []byte("playlist-bytes")},
+		{Type: MsgSegmentReq, Channel: "alice", FrameID: 9, Rung: 2},
+		{Type: MsgSegment, Channel: "alice", FrameID: 9, Rung: 2, SegID: "deadbeef", SegDurUS: 1_000_000, Data: make([]byte, 2048)},
+		{Type: MsgBye},
+	})
 }
 
 // TestFrameUnknownVersionSkippable pins the forward-compatibility contract:

@@ -1,31 +1,32 @@
 #!/usr/bin/env bash
-# Tracked kernel benchmarks: runs the Conv2D micro-benches (internal/nn)
-# and the end-to-end train-epoch / 1080p-inference benches (internal/sr),
-# each in its "kernel" (im2col/GEMM engine) and "ref" (retained scalar
-# baseline) variant, and emits BENCH_kernels.json with ns/op, MB/s,
-# allocs/op plus the kernel-vs-ref speedup and allocation-reduction
-# ratios. The JSON is committed so the perf trajectory is reviewable
-# across PRs.
+# Component benchmarks. Runs the Conv2D micro-benches (internal/nn) and
+# the train-epoch / 1080p / 4K inference benches (internal/sr), each in its
+# "kernel" (im2col/GEMM engine) and "ref" (retained scalar baseline)
+# variant, and writes BENCH_kernels.json. The full run also re-records the
+# sweep, fleet and edge plan records (cmd/livenas-bench -sweepbench,
+# -fleetbench, -edgebench) and the vet-engine record (livenas-vet -bench).
+# The records are committed so the trajectory is reviewable across commits,
+# and cmd/bench-compare gates a fresh run against each (scripts/ci.sh full).
 #
-#   scripts/bench.sh            full run, writes BENCH_kernels.json, the
-#                               sweep-engine serial-vs-parallel record
-#                               BENCH_sweep.json (cmd/livenas-bench
-#                               -sweepbench; gated by bench-compare -sweep),
-#                               the vet-engine cold/warm record
-#                               BENCH_vet.json (livenas-vet -bench; gated by
-#                               bench-compare -vet), the fleet record
-#                               BENCH_fleet.json (-fleetbench; bench-compare
-#                               -fleet) and the edge fan-out record
-#                               BENCH_edge.json (-edgebench; bench-compare
-#                               -edge)
-#   scripts/bench.sh -short     few-iteration smoke run (CI gate): exercises
-#                               every kernel bench and the JSON emitter,
-#                               writes to a temp file so the tracked baseline
-#                               keeps full-run numbers; skips the sweep record
-#   scripts/bench.sh -o FILE    write the kernel JSON elsewhere
+# Every BENCH_*.json has one shape (internal/benchrec): a schema number,
+# the "regen" argv that re-measures the record into its "{out}" argument,
+# and a list of entries, one per figure:
+#   {"name", "metric", "value", "unit", "better": higher|lower,
+#    "gate": ratio|cores|min|exact|none, "floor" (min only)}
+# Here each bench yields a ratio-gated "speedup" (ref_ns / kernel_ns), an
+# ungated "allocs_reduction" (ref_allocs / kernel_allocs; 999999 when the
+# kernel variant allocates nothing per op) and the raw ns/op, MB/s, B/op
+# and allocs/op of both variants. Both variants run in the same binary
+# (SetRefKernels). For the int8 benches (inference_1080p_int8,
+# inference_4k) "kernel" is the int8-quantized path and "ref" the f32 GEMM
+# engine, so their speedup is the quantization win on top of the optimised
+# path.
 #
-# allocs_reduction uses the sentinel 999999 when the kernel variant
-# allocates nothing per op (the reduction is infinite).
+#   scripts/bench.sh            full run: rewrites all five BENCH_*.json
+#   scripts/bench.sh -short     few-iteration kernel run (the gate's regen):
+#                               writes to a temp file so the tracked
+#                               baseline keeps full-run numbers
+#   scripts/bench.sh -o FILE    write the kernel record elsewhere
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,7 +74,17 @@ echo "== bench: internal/sr train epoch + inference (1080p f32/int8, 4K)" >&2
 go test -run '^$' -bench 'BenchmarkTrainEpoch$|BenchmarkInference1080p$|BenchmarkInference1080pInt8$|BenchmarkInference4K$' \
     -benchmem "${SR_ARGS[@]}" ./internal/sr | tee -a "$TMP" >&2
 
-awk -v goversion="$(go version | awk '{print $3}')" -v short="$SHORT" '
+awk '
+function entry(name, metric, value, unit, better, gate) {
+    if (nent++) printf ",\n"
+    printf "    {\"name\":\"%s\",\"metric\":\"%s\",\"value\":%s,\"unit\":\"%s\",\"better\":\"%s\",\"gate\":\"%s\"}", name, metric, value, unit, better, gate
+}
+function raw(name, v, k) {
+    entry(name, v "_ns_op", NS[k], "ns/op", "lower", "none")
+    entry(name, v "_mb_s", MBS[k] == "" ? "0" : MBS[k], "MB/s", "higher", "none")
+    entry(name, v "_bytes_op", BY[k], "B/op", "lower", "none")
+    entry(name, v "_allocs_op", AL[k], "allocs/op", "lower", "none")
+}
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)  # strip the -GOMAXPROCS suffix
@@ -101,29 +112,24 @@ END {
     order[1] = "ConvForward"; order[2] = "ConvBackward"
     order[3] = "TrainEpoch"; order[4] = "Inference1080p"
     order[5] = "Inference1080pInt8"; order[6] = "Inference4K"
-    printf "{\n"
-    printf "  \"generated_by\": \"scripts/bench.sh\",\n"
-    printf "  \"go\": \"%s\",\n", goversion
-    printf "  \"short\": %s,\n", short ? "true" : "false"
-    printf "  \"note\": \"kernel = im2col/GEMM engine, ref = scalar baseline (same binary, SetRefKernels); for the int8 benches (inference_1080p_int8, inference_4k) kernel = int8-quantized path and ref = the f32 GEMM engine, so their speedup is the quantization win on top of the optimised path; speedup = ref_ns/kernel_ns; allocs_reduction = ref_allocs/kernel_allocs, 999999 when the kernel path allocates zero\",\n"
-    printf "  \"benches\": {\n"
+    printf "{\n  \"schema\": 2,\n"
+    printf "  \"regen\": [\"scripts/bench.sh\",\"-short\",\"-o\",\"{out}\"],\n"
+    printf "  \"entries\": [\n"
     nout = 0
     for (oi = 1; oi <= 6; oi++) {
         b = order[oi]
         if (!(b in seen)) continue
         kk = b ".kernel"; rk = b ".ref"
         if (NS[kk] == "" || NS[rk] == "") continue
-        if (nout++) printf ",\n"
-        printf "    \"%s\": {\n", map[b]
-        printf "      \"kernel\": {\"ns_op\": %s, \"mb_s\": %s, \"bytes_op\": %s, \"allocs_op\": %s},\n", NS[kk], MBS[kk] == "" ? "0" : MBS[kk], BY[kk], AL[kk]
-        printf "      \"ref\": {\"ns_op\": %s, \"mb_s\": %s, \"bytes_op\": %s, \"allocs_op\": %s},\n", NS[rk], MBS[rk] == "" ? "0" : MBS[rk], BY[rk], AL[rk]
-        printf "      \"speedup\": %.2f,\n", NS[rk] / NS[kk]
+        nout++
+        entry(map[b], "speedup", sprintf("%.2f", NS[rk] / NS[kk]), "x", "higher", "ratio")
         if (AL[kk] + 0 == 0) red = 999999
         else red = AL[rk] / AL[kk]
-        printf "      \"allocs_reduction\": %.2f\n", red
-        printf "    }"
+        entry(map[b], "allocs_reduction", sprintf("%.2f", red), "x", "higher", "none")
+        raw(map[b], "kernel", kk)
+        raw(map[b], "ref", rk)
     }
-    printf "\n  }\n}\n"
+    printf "\n  ]\n}\n"
     if (nout != 6) {
         print "bench.sh: expected 6 benchmarks, parsed " nout > "/dev/stderr"
         exit 1

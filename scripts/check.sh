@@ -1,40 +1,11 @@
 #!/usr/bin/env bash
-# Pre-merge gate: build, vet (standard + project-specific), tests, race
-# tier, and a short fuzz pass. EXPERIMENTS.md results are only comparable
-# across commits that pass this script.
+# Pre-merge gate: the full CI tier (scripts/ci.sh full) — build, vet
+# (standard + project-specific), full tests, the race tier, a short fuzz
+# pass, the BENCH_*.json component gates and run-summary validation.
+# EXPERIMENTS.md results are only comparable across commits that pass this
+# script.
 #
 # FUZZTIME (default 10s) controls the per-target fuzz budget; set
 # FUZZTIME=0 to skip fuzzing (the seed corpora still run under go test).
 set -euo pipefail
-cd "$(dirname "$0")/.."
-
-FUZZTIME="${FUZZTIME:-10s}"
-
-echo "== go build ./..."
-go build ./...
-
-echo "== go vet ./..."
-go vet ./...
-
-echo "== livenas-vet ./... (gated on analysis/baseline.json)"
-go run ./cmd/livenas-vet -baseline analysis/baseline.json ./...
-
-echo "== go test ./..."
-go test ./...
-
-echo "== differential kernel tests (GEMM engine vs scalar reference)"
-go test -count=1 -run 'TestConvGEMMMatchesRef|TestConvDeterministicAcrossPoolSizes|TestReLUAndPixelShuffleMatchRef' ./internal/nn
-
-echo "== kernel bench smoke + regression gate (cmd/bench-compare)"
-go run ./cmd/bench-compare
-
-echo "== go test -race (concurrency tier)"
-go test -race ./internal/telemetry ./internal/sr ./internal/wire ./internal/transport ./internal/core ./internal/analysis
-
-if [[ "$FUZZTIME" != "0" ]]; then
-    echo "== fuzz ($FUZZTIME per target)"
-    go test -run '^$' -fuzz '^FuzzWireRead$' -fuzztime "$FUZZTIME" ./internal/wire
-    go test -run '^$' -fuzz '^FuzzBitReader$' -fuzztime "$FUZZTIME" ./internal/codec
-fi
-
-echo "== all checks passed"
+exec "$(dirname "$0")/ci.sh" full

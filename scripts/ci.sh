@@ -15,13 +15,12 @@
 #                         findings independently of cache state), full
 #                         tests, race tier (includes internal/sweep,
 #                         internal/fleet and the parallel vet driver), fuzz
-#                         smoke (FUZZTIME, default 10s, 0 skips),
-#                         kernel-bench regression gate vs BENCH_kernels.json
-#                         (cmd/bench-compare, BENCH_NOISE overrides the 15%
-#                         threshold), sweep-speedup gate vs BENCH_sweep.json,
-#                         fleet gate vs BENCH_fleet.json, vet warm-cache
-#                         gate vs BENCH_vet.json, telemetry run-summary
-#                         validation
+#                         smoke (FUZZTIME, default 10s, 0 skips), one
+#                         cmd/bench-compare step per committed BENCH_*.json
+#                         (kernel speedups, sweep, fleet and edge plans, vet
+#                         engine cache; BENCH_NOISE overrides the 15%
+#                         threshold), telemetry run-summary validation.
+#                         scripts/check.sh runs this tier.
 #
 # Extended knobs (the nightly workflow uses these):
 #   FLEET_SOAK_STREAMS=N  adds a fleet soak step to the full tier: N
@@ -202,11 +201,9 @@ else
         step "fuzz wire ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzWireRead$' -fuzztime "$FUZZTIME" ./internal/wire
         step "fuzz codec ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzBitReader$' -fuzztime "$FUZZTIME" ./internal/codec
     fi
-    step "bench gate" go run ./cmd/bench-compare
-    step "sweep gate" go run ./cmd/bench-compare -sweep
-    step "fleet gate" go run ./cmd/bench-compare -fleet
-    step "edge gate" go run ./cmd/bench-compare -edge
-    step "vet gate" go run ./cmd/bench-compare -vet
+    for rec in BENCH_*.json; do
+        step "bench gate $rec" go run ./cmd/bench-compare "$rec"
+    done
     step "summary gate" summary_gate
     if [[ -n "${CI_ARTIFACTS:-}" ]]; then
         step "vet stats" vet_stats
