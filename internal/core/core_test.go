@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"livenas/internal/codec"
+	"livenas/internal/nn"
 	"livenas/internal/trace"
 	"livenas/internal/vidgen"
 )
@@ -411,29 +412,33 @@ func TestLossRecovery(t *testing.T) {
 	}
 }
 
-// TestDedicatedPoolJoinedAtSessionEnd pins the ownership fix for dedicated
-// kernel pools: a session with KernelWorkers > 0 creates its own nn.Pool,
-// and Run must join those workers before returning (previously they leaked
-// for the process lifetime, one pool per session in experiment sweeps).
+// TestDedicatedPoolJoinedAtSessionEnd pins that a session leaves no
+// goroutine behind: a multi-GPU session (three training and three
+// inference devices) runs all its kernel work on the process-wide
+// nn.SharedPool, so once Run returns the goroutine count is back at its
+// pre-session level.
 func TestDedicatedPoolJoinedAtSessionEnd(t *testing.T) {
+	// The shared pool starts lazily on first model use and lives for the
+	// process, so start it before the baseline count.
+	nn.SharedPool()
 	before := runtime.NumGoroutine()
 	cfg := defaultTestConfig(vidgen.JustChatting)
 	cfg.Trace = trace.FCCUplink(11, time.Minute, 250)
 	cfg.Duration = 10 * time.Second
-	cfg.KernelWorkers = 3
+	cfg.TrainGPUs = 3
+	cfg.InferGPUs = 3
 	r := Run(cfg)
 	if r.FramesDecoded == 0 {
 		t.Fatal("session decoded no frames")
 	}
-	// Run closed the dedicated pool, so the goroutine count settles back
-	// to its pre-session level (poll: a joined worker's exit is observed
-	// by the scheduler a beat after WaitGroup.Wait returns).
+	// Poll: an exiting goroutine is observed by the scheduler a beat after
+	// the work it finished is joined.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("%d goroutines outlive the session (had %d before); dedicated pool not joined", got, before)
+		t.Fatalf("%d goroutines outlive the session (had %d before)", got, before)
 	}
 }
 

@@ -147,7 +147,6 @@ const cancelCheckEvery = 512
 // The config is validated up front (Config.Validate) and geometry errors
 // are returned rather than panicking. Cancellation is observed at
 // simulator-event boundaries: when ctx is cancelled mid-run, RunContext
-// releases session resources (dedicated kernel-pool workers are joined) and
 // returns ctx's error with nil Results.
 func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	if err := cfg.Validate(); err != nil {
@@ -254,17 +253,10 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	}
 	s.After(cfg.MetricEvery, metric)
 
-	for s.StepUntil(cfg.Duration, cancelCheckEvery) {
-		if err := ctx.Err(); err != nil {
-			// Abandon the run at an event boundary: no simulator callback is
-			// in flight, so the dedicated kernel pool (if any) is idle and
-			// safe to join.
-			sv.close()
-			return nil, err
-		}
+	// A cancelled run is abandoned at the next event-batch boundary.
+	for s.StepUntil(cfg.Duration, cancelCheckEvery) && ctx.Err() == nil {
 	}
 	if err := ctx.Err(); err != nil {
-		sv.close()
 		return nil, err
 	}
 
@@ -294,7 +286,6 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	res.AvgBandwidthKbps = meanSeries(res.Bandwidth)
 	res.AvgVideoKbps = meanSeries(res.Video)
 	res.AvgPatchKbps = meanSeries(res.Patch)
-	sv.close()
 	return res, nil
 }
 

@@ -310,13 +310,12 @@ func (m *Manager) setGauges() {
 	m.gActive.Set(float64(active))
 }
 
-// Ingest runs an admitted stream's session inline on the calling
-// goroutine (the live-server path; experiment plans go through Plan/
-// sweep instead). On success the session holds its Results and moves to
-// StateTrained; teardown remains the caller's step. The session's config
-// is run as finalized at admission, so a dedicated nn kernel pool
-// (Cfg.KernelWorkers > 0) is owned by this stream and joined when the run
-// ends.
+// Ingest runs one admitted stream's session inline on the calling
+// goroutine, with its config as finalized at admission. It is the
+// single-stream counterpart of Plan.Submit, which runs a whole fleet through
+// sweep; cmd/livenas-server serves sessions without a Manager. On success
+// the session holds its Results and moves to StateTrained; teardown
+// remains the caller's step.
 func (m *Manager) Ingest(ctx context.Context, key string) (*core.Results, error) {
 	s, ok := m.sessions[key]
 	if !ok {

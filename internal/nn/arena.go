@@ -6,8 +6,8 @@ import (
 )
 
 // Arena is a free-list allocator for tensors and raw float32 scratch
-// buffers. The SR hot path — model forward, trainer step, strip-split
-// inference — allocates the same handful of shapes every frame and every
+// buffers. The SR hot path — model forward, trainer step, inference —
+// allocates the same handful of shapes every frame and every
 // minibatch; recycling them through an arena makes steady-state epochs and
 // frames allocate (almost) nothing, which is where most of the seed
 // implementation's wall-clock went.

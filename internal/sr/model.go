@@ -1,9 +1,10 @@
 // Package sr implements LiveNAS-Go's super-resolution stack: the patch-based
 // residual SR network (the stand-in for NAS's "ultra-high" model, §7), the
 // online trainer with recency-weighted minibatches and multi-GPU gradient
-// aggregation (§6.2), the inference processor with intra-frame multi-GPU
-// parallelism (§6.2), and the GPU device model that charges simulated time
-// for training and inference (see DESIGN.md substitution #2).
+// aggregation (§6.2), the inference processor, and the GPU device model
+// that charges simulated time for training and inference (see DESIGN.md
+// substitution #2). Simulated GPUs are a count the device model reads;
+// host parallelism comes only from the nn kernel pool.
 package sr
 
 import (
@@ -115,7 +116,11 @@ func (m *Model) Params() []nn.Param { return m.params }
 // ArenaStats reports the model's tensor-arena free-list hits and misses
 // (cumulative). In steady state hits dominate: the forward/backward chain
 // recycles the same handful of shapes every call.
-func (m *Model) ArenaStats() (hits, misses int64) { return m.arena.Stats() }
+func (m *Model) ArenaStats() (hits, misses int64) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.arena.Stats()
+}
 
 // ParamCount returns the total number of learnable scalars.
 func (m *Model) ParamCount() int {
@@ -146,10 +151,9 @@ func (m *Model) Clone() *Model {
 
 // CopyWeightsFrom overwrites this model's weights with src's. The two models
 // must share architecture. This is the "inference process is synchronized"
-// step of §7 and the model-sync step of multi-GPU training. Weights must
-// flow in a consistent direction between any two models (trainer master →
-// inference replicas here); copying both ways concurrently would risk a
-// lock-order deadlock.
+// step of §7. Weights must flow in a consistent direction between any two
+// models (trained model → processor and DNN_{t-1} copies here); copying
+// both ways concurrently would risk a lock-order deadlock.
 func (m *Model) CopyWeightsFrom(src *Model) {
 	if m == src {
 		return
@@ -158,12 +162,6 @@ func (m *Model) CopyWeightsFrom(src *Model) {
 	defer m.mu.Unlock()
 	src.mu.RLock()
 	defer src.mu.RUnlock()
-	m.copyWeights(src)
-}
-
-// copyWeights copies src's weights without locking; callers either hold
-// the necessary locks or exclusively own both models.
-func (m *Model) copyWeights(src *Model) {
 	if len(m.params) != len(src.params) {
 		panic("sr: CopyWeightsFrom architecture mismatch")
 	}
@@ -323,8 +321,8 @@ func (m *Model) calibStats() [2]float32 {
 }
 
 // foldCalib merges activation maxima into the calibration statistics.
-// Caller must hold m.mu (the trainer holds the master write lock for the
-// whole step). Max is commutative and associative, so the fold order cannot
+// Caller must hold m.mu (the trainer holds the write lock for the whole
+// step). Max is commutative and associative, so the fold order cannot
 // affect the result — calibration stays deterministic for any pool size.
 func (m *Model) foldCalib(am [2]float32) {
 	m.calibMax[0] = max(m.calibMax[0], am[0])

@@ -10,13 +10,15 @@ import (
 	"livenas/internal/telemetry"
 )
 
-// Processor applies super-resolution to decoded stream frames with
-// intra-frame multi-GPU parallelism (§6.2): the frame is split into
-// equal-height strips, each strip is super-resolved on its own GPU replica
-// concurrently, and the results are stitched. The processor owns replica
-// weights that are refreshed from the training model at epoch boundaries
-// (§7 "At the end of every training epoch, the inference process is
-// synchronized"), decoupling inference from in-progress training.
+// Processor applies super-resolution to decoded stream frames. The paper
+// splits each frame into strips across its inference GPUs (§6.2); here the
+// GPU count enters only the Device cost model, which charges the simulated
+// per-frame latency, while the output is one whole-frame pass (identical to
+// a halo-covered strip split) whose host parallelism comes from the model's
+// nn kernel pool. The processor owns a model clone whose weights are
+// refreshed from the training model at epoch boundaries (§7 "At the end of
+// every training epoch, the inference process is synchronized"), decoupling
+// inference from in-progress training.
 //
 // Two optional fast paths stack on top (EnableQuant / SetAnytimeBudget):
 //
@@ -30,17 +32,16 @@ import (
 //     gradient-energy proxy; high-gain cells run f32, the rest int8, and
 //     when even that blows the per-frame deadline the lowest-gain tail
 //     degrades to the bilinear skip. Ranking, budgeting and cell assignment
-//     are all deterministic (integer energies, fixed tie-breaks, fixed
-//     cell→replica mapping), so output depends only on the frame and
-//     configuration.
+//     are all deterministic (integer energies, fixed tie-breaks), so
+//     output depends only on the frame and configuration.
 type Processor struct {
-	dev    Device
-	gpus   int
-	scale  int
-	mu     sync.Mutex
-	models []*Model
+	dev   Device
+	gpus  int
+	scale int
+	mu    sync.Mutex
+	model *Model
 
-	// Quantized fast path (nil quant = disabled). quantSrc is the master
+	// Quantized fast path (nil quant = disabled). quantSrc is the trained
 	// model quantization snapshots are taken from; quantOn is the gate
 	// state; needCalib defers activation calibration to the first frame
 	// when the source model has no statistics yet.
@@ -64,8 +65,9 @@ type Processor struct {
 	mDeadlineMiss *telemetry.Counter
 }
 
-// haloLR is the per-side strip overlap at LR resolution; it covers the
-// network's receptive field (three 3x3 convs) so stitching is seam-free.
+// haloLR is the per-side anytime cell overlap at LR resolution; it covers
+// the network's receptive field (three 3x3 convs) so stitching is
+// seam-free.
 const haloLR = 4
 
 // anytimeCellLR is the nominal LR cell edge of the anytime patch scheduler.
@@ -74,20 +76,16 @@ const anytimeCellLR = 48
 // gateEWMAAlpha is the smoothing factor of the online PSNR-gap estimate.
 const gateEWMAAlpha = 0.2
 
-// NewProcessor creates a processor with gpus replicas of model's current
-// weights.
+// NewProcessor creates a processor serving a clone of model's current
+// weights on gpus simulated inference devices.
 func NewProcessor(model *Model, gpus int, dev Device) *Processor {
 	if gpus < 1 {
 		gpus = 1
 	}
-	p := &Processor{dev: dev, gpus: gpus, scale: model.Scale}
-	for i := 0; i < gpus; i++ {
-		p.models = append(p.models, model.Clone())
-	}
-	return p
+	return &Processor{dev: dev, gpus: gpus, scale: model.Scale, model: model.Clone()}
 }
 
-// GPUs reports the number of inference devices.
+// GPUs reports the number of simulated inference devices.
 func (p *Processor) GPUs() int { return p.gpus }
 
 // SetTelemetry registers the processor's metrics on reg: per-frame
@@ -110,16 +108,12 @@ func (p *Processor) SetTelemetry(reg *telemetry.Registry) {
 	p.mDeadlineMiss = reg.Counter("infer_deadline_miss")
 }
 
-// ArenaStats sums the replica models' arena free-list hits and misses,
-// including the quantized path's arena when active.
+// ArenaStats reports the f32 model's arena free-list hits and misses,
+// plus the quantized path's arena when active.
 func (p *Processor) ArenaStats() (hits, misses int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, m := range p.models {
-		h, ms := m.ArenaStats()
-		hits += h
-		misses += ms
-	}
+	hits, misses = p.model.ArenaStats()
 	if p.quant != nil {
 		h, ms := p.quant.ArenaStats()
 		hits += h
@@ -128,15 +122,13 @@ func (p *Processor) ArenaStats() (hits, misses int64) {
 	return hits, misses
 }
 
-// Sync refreshes the processor's replica weights from model, and — when the
+// Sync refreshes the processor's weights from model, and — when the
 // quantized path is enabled — takes a fresh int8 snapshot of model using
 // its latest calibration statistics.
 func (p *Processor) Sync(model *Model) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, m := range p.models {
-		m.CopyWeightsFrom(model)
-	}
+	p.model.CopyWeightsFrom(model)
 	if p.quant != nil {
 		p.quantSrc = model
 		p.quant = NewQuantModel(model)
@@ -203,7 +195,7 @@ func (p *Processor) ObserveGatePatch(lr, hr *frame.Frame) {
 	if p.quant == nil {
 		return
 	}
-	f32Out := p.models[0].SuperResolve(lr)
+	f32Out := p.model.SuperResolve(lr)
 	intOut := p.quant.SuperResolve(lr)
 	gap := metrics.PSNR(f32Out, hr) - metrics.PSNR(intOut, hr)
 	if !p.gapInit {
@@ -224,10 +216,7 @@ func (p *Processor) ObserveGatePatch(lr, hr *frame.Frame) {
 }
 
 // Process super-resolves lr and returns the upscaled frame together with
-// the simulated per-frame latency from the device model. The computation is
-// genuinely parallel across strips (one goroutine per GPU replica).
-//
-//livenas:allow context-propagation bounded wait: the strip join waits only on its own per-frame goroutines, each finite CPU kernel work
+// the simulated per-frame latency from the device model.
 func (p *Processor) Process(lr *frame.Frame) (*frame.Frame, time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -246,36 +235,7 @@ func (p *Processor) Process(lr *frame.Frame) (*frame.Frame, time.Duration) {
 	lat := p.dev.InferenceTime(lr.W, lr.H, s, p.gpus)
 	p.mFrames.Inc()
 	p.mLatMS.Observe(float64(lat) / float64(time.Millisecond))
-	if p.gpus == 1 || lr.H < p.gpus*haloLR*3 {
-		return p.models[0].SuperResolve(lr), lat
-	}
-
-	out := frame.New(lr.W*s, lr.H*s)
-	stripH := (lr.H + p.gpus - 1) / p.gpus
-	var wg sync.WaitGroup
-	for g := 0; g < p.gpus; g++ {
-		y0 := g * stripH
-		if y0 >= lr.H {
-			break
-		}
-		y1 := min(y0+stripH, lr.H)
-		wg.Add(1)
-		go func(g, y0, y1 int) {
-			defer wg.Done()
-			// Expand by the halo, super-resolve, then crop the halo away.
-			top := max(0, y0-haloLR)
-			bot := min(lr.H, y1+haloLR)
-			strip := lr.Crop(0, top, lr.W, bot-top)
-			up := p.models[g].SuperResolve(strip)
-			cropTop := (y0 - top) * s
-			region := up.Crop(0, cropTop, up.W, (y1-y0)*s)
-			// Rows are disjoint across goroutines; Paste touches only
-			// [y0*s, y1*s) of out.
-			out.Paste(region, 0, y0*s)
-		}(g, y0, y1)
-	}
-	wg.Wait()
-	return out, lat
+	return p.model.SuperResolve(lr), lat
 }
 
 // lazyCalibrate seeds activation calibration from the first processed frame
@@ -306,8 +266,6 @@ const (
 
 // processAnytime is the anytime-scheduled inference path. Caller holds
 // p.mu.
-//
-//livenas:allow context-propagation bounded wait: the cell join waits only on its own per-frame goroutines, each finite CPU kernel work
 func (p *Processor) processAnytime(lr *frame.Frame) (*frame.Frame, time.Duration) {
 	s := p.scale
 	up := lr.ResizeBilinear(lr.W*s, lr.H*s) // canvas; un-enhanced cells keep it
@@ -373,31 +331,18 @@ func (p *Processor) processAnytime(lr *frame.Frame) (*frame.Frame, time.Duration
 		p.mDeadlineMiss.Inc()
 	}
 
-	// Execute: fixed cell→replica assignment (cell i on replica i mod
-	// gpus); each cell writes a disjoint region of the canvas.
+	// Execute; each cell writes a disjoint region of the canvas.
 	var nInt8 int64
 	for i := range cells {
-		if cells[i].mode == modeInt8 {
+		c := &cells[i]
+		switch c.mode {
+		case modeInt8:
 			nInt8++
+			p.quant.EnhanceRegion(lr, c.x0, c.y0, c.x1, c.y1, up)
+		case modeF32:
+			p.enhanceRegionF32(lr, c, up)
 		}
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < p.gpus; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < len(cells); i += p.gpus {
-				c := &cells[i]
-				switch c.mode {
-				case modeInt8:
-					p.quant.EnhanceRegion(lr, c.x0, c.y0, c.x1, c.y1, up)
-				case modeF32:
-					p.enhanceRegionF32(p.models[g], lr, c, up)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 
 	lat := time.Duration(base + max(total, 0)/float64(p.gpus))
 	p.mFrames.Inc()
@@ -408,12 +353,12 @@ func (p *Processor) processAnytime(lr *frame.Frame) (*frame.Frame, time.Duration
 
 // enhanceRegionF32 runs the f32 model over one cell (with halo) and pastes
 // the enhanced region into the canvas.
-func (p *Processor) enhanceRegionF32(m *Model, lr *frame.Frame, c *qcell, out *frame.Frame) {
+func (p *Processor) enhanceRegionF32(lr *frame.Frame, c *qcell, out *frame.Frame) {
 	s := p.scale
 	left, top := max(0, c.x0-haloLR), max(0, c.y0-haloLR)
 	right, bot := min(lr.W, c.x1+haloLR), min(lr.H, c.y1+haloLR)
 	cell := lr.Crop(left, top, right-left, bot-top)
-	enhanced := m.SuperResolve(cell)
+	enhanced := p.model.SuperResolve(cell)
 	region := enhanced.Crop((c.x0-left)*s, (c.y0-top)*s, (c.x1-c.x0)*s, (c.y1-c.y0)*s)
 	out.Paste(region, c.x0*s, c.y0*s)
 }

@@ -11,7 +11,7 @@ import (
 // of the inference fast path: per-channel symmetric weights, activation
 // scales from the model's calibration statistics (the trainer's running
 // ReLU maxima), and the requantization folded into each conv's epilogue
-// (nn.QuantConv). A QuantModel is rebuilt from the master model at every
+// (nn.QuantConv). A QuantModel is rebuilt from the trained model at every
 // Processor.Sync — quantization is cheap (one pass over ~5k weights) next
 // to a single frame's inference.
 //

@@ -12,7 +12,7 @@ import (
 // These stress tests pin down the synchronization contract between online
 // training and inference on a shared model (DESIGN.md "Correctness
 // tooling"): one Trainer goroutine may run epochs while other goroutines
-// concurrently Sync processor replicas from the model, run processor
+// concurrently Sync the processor's model copy from it, run processor
 // inference, super-resolve on the model directly, and snapshot it. They
 // are meaningful under `go test -race ./internal/sr` (part of
 // scripts/check.sh); without -race they still assert basic output sanity.
@@ -57,7 +57,7 @@ func TestConcurrentTrainInferSync(t *testing.T) {
 			trainer.Epoch()
 		}
 	}()
-	go func() { // epoch-boundary weight sync into the processor replicas
+	go func() { // epoch-boundary weight sync into the processor
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			proc.Sync(model)
@@ -88,8 +88,8 @@ func TestConcurrentTrainInferSync(t *testing.T) {
 
 // TestConcurrentKernelPoolStress drives the shared kernel worker pool from
 // every direction at once: a trainer whose shards fan per-sample gradient
-// contexts onto an explicit multi-worker pool, strip-split processor
-// inference on replicas sharing that pool, epoch-boundary Sync, and direct
+// contexts onto an explicit multi-worker pool, processor inference on a
+// model copy sharing that pool, epoch-boundary Sync, and direct
 // SuperResolve — all against frames big enough that conv forward/backward
 // split into several row blocks. Under -race this pins down that pool
 // tasks, arena recycling, and the weight-sharing gradient contexts are

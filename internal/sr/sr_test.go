@@ -116,6 +116,28 @@ func TestMultiGPUTrainingAlsoLearns(t *testing.T) {
 	}
 }
 
+// TestMultiGPUTrainingCalibratesOnEverySample pins that with several
+// training devices every minibatch sample still feeds the int8 activation
+// calibration, as on one device. The batch of nine splits into whole
+// shards for one and three devices, so both runs draw the same samples and
+// (one step, so one set of weights) must see the same activation maxima.
+func TestMultiGPUTrainingCalibratesOnEverySample(t *testing.T) {
+	calib := func(gpus int) [2]float32 {
+		m := NewModel(2, 6, 5)
+		cfg := DefaultTrainConfig()
+		cfg.GPUs = gpus
+		cfg.ItersPerEpoch = 1
+		cfg.Batch = 9
+		tr := NewTrainer(m, cfg, 5)
+		trainPairs(tr, vidgen.NewSource(vidgen.Sports, 96, 96, 41, 60), 2, 48, 6)
+		tr.Epoch()
+		return m.calibStats()
+	}
+	if one, three := calib(1), calib(3); one != three {
+		t.Fatalf("calibration maxima: 1 GPU %v, 3 GPUs %v; want equal", one, three)
+	}
+}
+
 func TestTrainingLossDecreases(t *testing.T) {
 	m := NewModel(2, 6, 3)
 	tr := NewTrainer(m, DefaultTrainConfig(), 9)
@@ -235,7 +257,7 @@ func TestProcessorMatchesSingleModel(t *testing.T) {
 		}
 	}
 	if diff != 0 {
-		t.Fatalf("strip-split output differs from whole-frame output at %d pixels", diff)
+		t.Fatalf("3-GPU processor output differs from the model's whole-frame output at %d pixels", diff)
 	}
 }
 

@@ -92,7 +92,9 @@ type Trainer struct {
 	seq   int
 	rng   *rand.Rand
 
-	replicas []*Model // data-parallel training replicas (cfg.GPUs > 1)
+	// gradSum holds the recency-weighted sum of the shard gradients, one
+	// slice per parameter (cfg.GPUs > 1; allocated on the first step).
+	gradSum [][]float32
 
 	// Telemetry handles (nil until SetTelemetry; nil-safe).
 	mEpochs  *telemetry.Counter
@@ -104,16 +106,12 @@ type Trainer struct {
 // NewTrainer creates a trainer that updates model in place.
 func NewTrainer(model *Model, cfg TrainConfig, seed int64) *Trainer {
 	cfg = cfg.withDefaults()
-	t := &Trainer{
+	return &Trainer{
 		Model: model,
 		cfg:   cfg,
 		opt:   nn.NewAdam(cfg.LR),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
-	for i := 1; i < cfg.GPUs; i++ {
-		t.replicas = append(t.replicas, model.Clone())
-	}
-	return t
 }
 
 // Config returns the effective training configuration.
@@ -174,10 +172,11 @@ func (t *Trainer) pick() int {
 
 // Epoch runs one training epoch (ItersPerEpoch optimiser steps) and returns
 // the mean minibatch loss. With GPUs > 1, each step shards its minibatch
-// across replicas, weights each shard's gradients by the recency of its
-// patches (more recent shard = larger weight, §6.2 "give a larger weight to
-// the gradient computed with more recent patches"), and synchronises
-// replica weights after the aggregated update.
+// as the paper's data-parallel GPUs would and weights each shard's
+// gradients by the recency of its patches (more recent shard = larger
+// weight, §6.2 "give a larger weight to the gradient computed with more
+// recent patches"). The shards run one after another on the one model;
+// the GPU count otherwise enters only the Device cost model.
 func (t *Trainer) Epoch() float64 {
 	if len(t.data) == 0 {
 		return 0
@@ -193,12 +192,9 @@ func (t *Trainer) Epoch() float64 {
 }
 
 // step runs one minibatch update and returns its mean loss.
-//
-//livenas:allow context-propagation bounded wait: done is buffered to g and each shard goroutine sends exactly once, so the sends and the g receives cannot block indefinitely
 func (t *Trainer) step() float64 {
 	t.mSteps.Inc()
-	models := append([]*Model{t.Model}, t.replicas...)
-	g := len(models)
+	g := t.cfg.GPUs
 	perShard := (t.cfg.Batch + g - 1) / g
 
 	// Draw the whole minibatch, then order it by recency so shard g-1 holds
@@ -209,63 +205,63 @@ func (t *Trainer) step() float64 {
 	}
 	sortBySeq(idx, t.data)
 
-	// The shard phase runs forward/backward on the master (models[0]) and
-	// the update phase writes its weights; hold the master's write lock for
-	// the whole step so concurrent Processor.Sync / SuperResolve callers on
-	// the shared model always observe step-consistent weights (§7 "the
+	// The gradient phase runs forward/backward on the model and the update
+	// phase writes its weights; hold the model's write lock for the whole
+	// step so concurrent Processor.Sync / SuperResolve callers on the
+	// shared model always observe step-consistent weights (§7 "the
 	// inference process is synchronized").
 	t.Model.mu.Lock()
 	defer t.Model.mu.Unlock()
 
-	type shardResult struct {
-		loss   float64
-		weight float64
-	}
-	results := make([]shardResult, g)
-	done := make(chan int, g)
-	for si := 0; si < g; si++ {
-		si := si
-		go func() {
-			m := models[si]
-			m.zeroGrads()
-			loss := t.shardGrad(m, idx[si*perShard:(si+1)*perShard])
-			// Recency weight: linear ramp so the shard with the newest
-			// patches counts ~2x the oldest shard.
-			results[si] = shardResult{loss: loss, weight: 1 + float64(si)/float64(g)}
-			done <- si
-		}()
-	}
-	for i := 0; i < g; i++ {
-		<-done
-	}
-
-	// Aggregate replica gradients into the master with shard weights. The
-	// per-element arithmetic stays in float32: the float64 shard weights
-	// are folded into float32 scale factors once, outside the loops, so the
-	// gradient loop does no cross-precision conversion.
-	if g > 1 {
+	var loss float64
+	if g == 1 {
+		t.Model.zeroGrads()
+		loss = t.shardGrad(idx)
+	} else {
+		// Run the shards one after another and sum their gradients, each
+		// scaled by its shard's recency weight: a linear ramp so the shard
+		// with the newest patches counts ~2x the oldest shard. The
+		// per-element arithmetic stays in float32: the float64 shard
+		// weights are folded into float32 scale factors once, outside the
+		// loops, so the gradient loop does no cross-precision conversion.
+		type shardResult struct {
+			loss   float64
+			weight float64
+		}
+		results := make([]shardResult, g)
 		var wSum float64
-		for _, r := range results {
-			wSum += r.weight
+		for si := range results {
+			results[si].weight = 1 + float64(si)/float64(g)
+			wSum += results[si].weight
 		}
 		scale := make([]float32, g)
 		for si, r := range results {
 			scale[si] = float32(r.weight * float64(g) / wSum) //livenas:allow hot-loop-precision the fold itself; runs g≈2-4 times per step
 		}
-		grads := make([][]nn.Param, g)
-		for si, m := range models {
-			grads[si] = m.Params()
-		}
-		master := grads[0]
-		for pi := range master {
-			dst := master[pi].Grad
-			for j := range dst {
-				var acc float32
-				for si := range grads {
-					acc += grads[si][pi].Grad[j] * scale[si]
-				}
-				dst[j] = acc
+		params := t.Model.Params()
+		if t.gradSum == nil {
+			for _, p := range params {
+				t.gradSum = append(t.gradSum, make([]float32, len(p.Grad)))
 			}
+		}
+		for _, sum := range t.gradSum {
+			clear(sum)
+		}
+		for si := range results {
+			t.Model.zeroGrads()
+			results[si].loss = t.shardGrad(idx[si*perShard : (si+1)*perShard])
+			for pi, p := range params {
+				sum := t.gradSum[pi]
+				for j, v := range p.Grad {
+					sum[j] += v * scale[si]
+				}
+			}
+		}
+		for pi, p := range params {
+			copy(p.Grad, t.gradSum[pi])
+		}
+		for _, r := range results {
+			loss += r.loss
 		}
 	}
 	// Normalise gradient by total sample count (losses were summed).
@@ -277,21 +273,12 @@ func (t *Trainer) step() float64 {
 		}
 	}
 	t.opt.Step(t.Model.Params())
-	for _, r := range t.replicas {
-		// Replicas are trainer-private and the master lock is already
-		// held, so copy without re-locking.
-		r.copyWeights(t.Model)
-	}
-
-	var loss float64
-	for _, r := range results {
-		loss += r.loss
-	}
 	return loss / total
 }
 
-// shardGrad accumulates the gradient of the samples idx into m's gradient
-// accumulators and returns the summed loss.
+// shardGrad accumulates the gradient of the samples idx into the model's
+// gradient accumulators and returns the summed loss. Caller holds the
+// model's write lock.
 //
 // On the kernel engine each sample gets a private gradient context
 // (weight-sharing layer clones) so all samples of the shard run
@@ -300,7 +287,8 @@ func (t *Trainer) step() float64 {
 // the result — is fixed by the shard contents alone, never by the pool
 // size. The scalar reference path keeps the seed's sequential
 // accumulate-in-place loop, which the tracked benchmarks baseline against.
-func (t *Trainer) shardGrad(m *Model, idx []int) float64 {
+func (t *Trainer) shardGrad(idx []int) float64 {
+	m := t.Model
 	if nn.RefKernels() {
 		var loss float64
 		for _, di := range idx {
@@ -323,7 +311,7 @@ func (t *Trainer) shardGrad(m *Model, idx []int) float64 {
 	mp := m.Params()
 	for k := range idx {
 		// Every training sample doubles as an int8 activation-scale
-		// calibration probe (the caller holds the master's write lock).
+		// calibration probe.
 		m.foldCalib(ctxs[k].actMax)
 		for pi := range mp {
 			dst := mp[pi].Grad

@@ -2,7 +2,8 @@
 # Tiered CI driver (.github/workflows/ci.yml runs both tiers; either runs
 # standalone on a laptop).
 #
-#   scripts/ci.sh fast    blocking tier: build, gofmt, go vet, livenas-vet
+#   scripts/ci.sh fast    blocking tier: build, gofmt, go vet (root and
+#                         perfbench modules), livenas-vet
 #                         (baseline-gated via analysis/baseline.json,
 #                         incremental: parallel -j with the facts cache in
 #                         VET_CACHE, default ~/.cache/livenas-vet, so
@@ -13,8 +14,9 @@
 #                         asm stubs and purego twins are its territory),
 #                         cold livenas-vet (no cache — proves
 #                         findings independently of cache state), full
-#                         tests, race tier (includes internal/sweep,
-#                         internal/fleet and the parallel vet driver), fuzz
+#                         tests (root and perfbench modules), race tier
+#                         (includes internal/sweep, internal/fleet and the
+#                         parallel vet driver), fuzz
 #                         smoke (FUZZTIME, default 10s, 0 skips), one
 #                         cmd/bench-compare step per committed BENCH_*.json
 #                         (kernel speedups, sweep, fleet and edge plans, vet
@@ -164,6 +166,10 @@ if [[ "$TIER" == "fast" ]]; then
     step "go build" go build ./...
     step "gofmt" gofmt_clean
     step "go vet" go vet ./...
+    # perfbench/ is its own module (the repository benchmark), so the root
+    # ./... never compiles it; vet it so an API change it depends on fails
+    # here rather than in the benchmark run.
+    step "go vet (perfbench)" go -C perfbench vet ./...
     step "livenas-vet (cached)" go run ./cmd/livenas-vet \
         -j "$(nproc)" -cache-dir "${VET_CACHE:-$HOME/.cache/livenas-vet}" -stats \
         -baseline analysis/baseline.json ./...
@@ -171,7 +177,7 @@ if [[ "$TIER" == "fast" ]]; then
     # The int8 fast path's correctness contract, run by name so a test
     # rename or build-tag slip can't silently drop it from the blocking
     # tier: kernel-vs-scalar and int8-vs-f32 differentials plus the
-    # byte-identical strip/cell determinism pins.
+    # byte-identical pool-size and cell-decomposition determinism pins.
     step "int8 differential + determinism" go test \
         -run 'TestQuant|TestAnytime|TestRequant' ./internal/nn ./internal/sr
     # One real figure sweep through the concurrent engine: catches worker /
@@ -183,7 +189,8 @@ else
     step "go vet" go vet ./...
     step "livenas-vet (cold)" go run ./cmd/livenas-vet -baseline analysis/baseline.json ./...
     step "go test" go test ./...
-    # internal/nn rides along for the int8/strip-parallel kernel stress;
+    step "go test (perfbench)" go -C perfbench test ./...
+    # internal/nn rides along for the int8 kernel-pool stress;
     # internal/sr's stress set includes the quantized-path churn test;
     # internal/fleet races the registry against mid-epoch teardowns.
     # internal/edge races the origin/relay/viewer actors over both SimConn
